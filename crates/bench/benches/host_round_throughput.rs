@@ -40,14 +40,14 @@ fn bench_host_engines(c: &mut Criterion) {
                 group.bench_with_input(BenchmarkId::new("active_set_host_seq", &id), g, |b, g| {
                     b.iter(|| {
                         let mut config = ActiveSetHostConfig::sequential(hosts);
-                        config.protocol.policy = policy;
+                        config.policy = policy;
                         ActiveSetHostEngine::new(black_box(g), config).run()
                     })
                 });
                 group.bench_with_input(BenchmarkId::new("active_set_host_par", &id), g, |b, g| {
                     b.iter(|| {
                         let mut config = ActiveSetHostConfig::synchronous(hosts);
-                        config.protocol.policy = policy;
+                        config.policy = policy;
                         ActiveSetHostEngine::new(black_box(g), config).run()
                     })
                 });

@@ -62,7 +62,7 @@ fn measure(graph: &str, g: &Graph, hosts: usize, policy: DisseminationPolicy, re
     };
     let fast_config = {
         let mut c = ActiveSetHostConfig::synchronous(hosts);
-        c.protocol.policy = policy;
+        c.policy = policy;
         c
     };
     let (legacy_build_ms, legacy_ms, legacy) =

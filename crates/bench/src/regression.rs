@@ -34,13 +34,11 @@ pub struct BenchRow {
 pub const MIN_GATED_MS: f64 = 1.0;
 
 /// Metrics whose value depends on how many cores the machine has (the
-/// reader-scaling ratios of `bench_pr4`, the pooled-exchange and
-/// region-descent ratios of `bench_pr8`: on a 1-core container they
+/// reader-scaling ratios of `bench_pr4`: on a 1-core container they
 /// measure oversubscription overhead, on a 16-core box real
 /// scalability). These gate only when the baseline and the fresh run
 /// were measured on comparable machines — see [`cores_differ_materially`].
-pub const SCALING_METRIC_PREFIXES: &[&str] =
-    &["speedup_readers", "speedup_pooled", "speedup_descent"];
+pub const SCALING_METRIC_PREFIXES: &[&str] = &["speedup_readers"];
 
 /// Core-count ratio beyond which two machines stop being comparable for
 /// [scaling metrics](SCALING_METRIC_PREFIXES).

@@ -107,6 +107,11 @@ STREAM ENGINES:
   warm-dist re-converge the distributed protocol per batch, warm-started
             from batch-safe upper bounds (vs a cold start, for comparison)
 
+THREADS:
+  --threads T (0 = automatic) sizes the active-set engine's worker pool.
+  It applies only to `simulate --engine active-set` and
+  `stream --engine warm-dist`; every other path is sequential.
+
 SERVE:
   runs the epoch-snapshot query service (dkcore-serve): one writer applies
   the churn workload batch by batch, publishing an immutable snapshot per
@@ -342,7 +347,7 @@ pub fn cmd_simulate<W: Write>(
                     ActiveSetHostConfig {
                         hosts: config.hosts,
                         assignment: config.assignment,
-                        protocol: config.protocol,
+                        policy: config.protocol.policy,
                         threads,
                         max_rounds: config.max_rounds,
                     },
@@ -468,9 +473,9 @@ pub fn cmd_stream<W: Write>(
     match engine {
         "batched" | "per-edge" => {
             let batched = engine == "batched";
-            // --threads T > 1 turns on the region-parallel descent
-            // (bit-identical results; see the stream-module docs).
-            let mut sc = batched.then(|| StreamCore::new(&g).with_threads(threads));
+            // --threads applies only to warm-dist's active-set runs; the
+            // batched and per-edge repairs are sequential.
+            let mut sc = batched.then(|| StreamCore::new(&g));
             let mut dc = (!batched).then(|| DynamicCore::new(&g));
             let mut t = Table::new([
                 "step",

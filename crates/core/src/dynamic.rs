@@ -109,6 +109,18 @@ pub struct UpdateStats {
 /// Incrementally maintained k-core decomposition of a mutable graph.
 ///
 /// See the [module docs](self) for the algorithmic background.
+///
+/// # Why it stays beside `StreamCore`
+///
+/// A [`StreamCore`](crate::stream::StreamCore) batch of one mutation does
+/// not yet cover single-edge repair. Replaying each mutation of
+/// `bench_pr3`'s quick streams as a one-mutation `StreamCore` batch was
+/// 2.6–4.2× slower than this structure on a 2-core machine:
+/// `sliding_gnp16/10000` 1,843 ms vs 706 ms, `sliding_gnp4/10000` 494 ms
+/// vs 182 ms, `insert_heavy_ba8/10000` 2,259 ms vs 675 ms, and
+/// `adversarial_worst_case/3000` 27.9 ms vs 6.7 ms. `bench_pr3`'s gated
+/// batch-vs-per-edge ratio also uses it as the per-edge comparator. It
+/// can go once the batched insertion repair is bounded (ROADMAP item 1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicCore {
     /// Sorted adjacency in one slotted-CSR arena (shared representation

@@ -96,30 +96,6 @@
 //! justified assignment is a lower-bound certificate — so the fixpoint
 //! *is* the coreness.
 //!
-//! # Parallel region descent
-//!
-//! The merged candidate regions are pairwise disjoint and closed under
-//! the traversal rule, which makes them an embarrassingly parallel work
-//! decomposition: with [`StreamCore::set_threads`] the descent of each
-//! region runs on a scoped worker thread against a private overlay map
-//! (reads fall through to the shared pre-descent estimates; writes stay
-//! local), and the per-region results merge back in region order. The
-//! result is **bit-identical** to the sequential descent because a
-//! worker's frozen view of foreign estimates is exact at every decisive
-//! threshold: two adjacent nodes in different regions have
-//! `|core₁(x) − core₁(y)| > window` by region closure, so a foreign
-//! neighbor's estimate — which moves only inside
-//! `[final, core₁ + bump] ⊆ [core₁ − slack, core₁ + bump]` — never
-//! crosses a threshold the local node's histogram can be decided by
-//! (thresholds are capped by the local node's own bumped estimate).
-//! The local fixpoint therefore satisfies exactly the same equations as
-//! the sequential one restricted to the region, and descending fixpoints
-//! from a common upper bound are unique. The set of examined nodes is
-//! schedule-independent too (`seeds ∪ N(droppers)`, and which nodes drop
-//! at all depends only on the fixpoint), so the per-batch
-//! [`last_touched`](StreamCore::last_touched) delta has the same
-//! *contents* either way — only its order within a batch differs.
-//!
 //! # Example
 //!
 //! ```
@@ -137,8 +113,7 @@
 //! assert_eq!(stats.removed, 1);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::thread;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use dkcore_graph::{Graph, GraphBuilder, NodeId};
@@ -331,9 +306,8 @@ pub struct BatchStats {
 /// repair, populated only when phase timing is on
 /// ([`StreamCore::set_phase_timing`]).
 ///
-/// Deliberately *not* part of [`BatchStats`]: stats are asserted
-/// bit-identical between the sequential and region-parallel engines,
-/// and wall times never can be. Telemetry layers read this through
+/// Deliberately *not* part of [`BatchStats`]: stats are deterministic
+/// work counters, and wall times never can be. Telemetry layers read this through
 /// [`StreamCore::last_phase_times`] and feed it into their own
 /// histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -605,9 +579,6 @@ pub struct StreamCore {
     queue: VecDeque<u32>,
     /// Drop-event queue `(node, old, new)` driving the cascade.
     events: VecDeque<(u32, u32, u32)>,
-    /// Worker threads for the region-parallel descent (`0`/`1` =
-    /// sequential). See [`set_threads`](Self::set_threads).
-    threads: usize,
     /// Whether [`apply_batch`](Self::apply_batch) wall-clocks its repair
     /// phases into `phase_times` (off by default: four `Instant` reads
     /// per batch are cheap but not free).
@@ -615,10 +586,6 @@ pub struct StreamCore {
     /// Phase split of the most recent batch when `time_phases` is on.
     phase_times: PhaseTimes,
 }
-
-/// Minimum total candidate members before a phase is worth dispatching
-/// to worker threads; below this the spawn cost dominates the descent.
-const PAR_MIN_NODES: usize = 32;
 
 impl StreamCore {
     /// Builds the structure from a static graph (full Batagelj–Zaveršnik
@@ -639,32 +606,9 @@ impl StreamCore {
             touched: Vec::new(),
             queue: VecDeque::new(),
             events: VecDeque::new(),
-            threads: 0,
             time_phases: false,
             phase_times: PhaseTimes::default(),
         }
-    }
-
-    /// Sets the number of descent worker threads for subsequent batches.
-    ///
-    /// `0` or `1` keeps the fully sequential repair (the default). With
-    /// more, [`apply_batch`](Self::apply_batch) descends disjoint
-    /// candidate regions on scoped worker threads whenever a phase has
-    /// at least two regions and enough candidate members to amortize the
-    /// spawn. Results are bit-identical to the sequential repair — same
-    /// coreness values, same [`BatchStats`], same
-    /// [`last_touched`](Self::last_touched) contents (the delta's order
-    /// within a batch may differ); see the [module
-    /// docs](self#parallel-region-descent) for the argument.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// Builder-style [`set_threads`](Self::set_threads).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
     }
 
     /// Turns per-phase wall-clock timing of
@@ -818,7 +762,7 @@ impl StreamCore {
             self.adj.remove_arc(u.index(), v.0);
             self.adj.remove_arc(v.index(), u.0);
         }
-        if !batch.removals().is_empty() && !self.parallel_removal_phase(batch.removals()) {
+        if !batch.removals().is_empty() {
             self.begin_phase();
             for &(u, v) in batch.removals() {
                 self.enqueue(u.0);
@@ -983,257 +927,24 @@ impl StreamCore {
             Instant::now()
         });
         let count = regions.len();
-        if !self.parallel_insertion_phase(&regions) {
-            // Bump and seed: est ← min(deg', core₁ + group insertions).
-            self.begin_phase();
-            for region in regions {
-                let bump = region.insertions;
-                for w in region.members {
-                    let wi = w as usize;
-                    self.touch(w); // record core₁ before the bump
-                    let est = (self.core[wi] + bump).min(self.adj.degree(wi));
-                    self.core[wi] = self.core[wi].max(est);
-                    self.enqueue(w);
-                }
+        // Bump and seed: est ← min(deg', core₁ + group insertions).
+        self.begin_phase();
+        for region in regions {
+            let bump = region.insertions;
+            for w in region.members {
+                let wi = w as usize;
+                self.touch(w); // record core₁ before the bump
+                let est = (self.core[wi] + bump).min(self.adj.degree(wi));
+                self.core[wi] = self.core[wi].max(est);
+                self.enqueue(w);
             }
-            self.descend();
         }
+        self.descend();
         if let Some(t) = clock {
             self.phase_times.insert_us = t.elapsed().as_micros() as u64;
         }
         count
     }
-
-    /// Region-parallel insertion descent. Returns `false` (without
-    /// mutating anything) when the phase should run sequentially:
-    /// threading is off, there is only one region, or the candidate set
-    /// is too small to amortize the dispatch.
-    fn parallel_insertion_phase(&mut self, regions: &[CandidateRegion]) -> bool {
-        if self.threads < 2 || regions.len() < 2 {
-            return false;
-        }
-        let total: usize = regions.iter().map(|r| r.members.len()).sum();
-        if total < PAR_MIN_NODES {
-            return false;
-        }
-        // Record core₁ and bump every member on the main thread first —
-        // the exact sequential seed loop minus the enqueue — so workers
-        // observe every region (own and foreign) at its bumped upper
-        // bound, which is what the bit-identity argument freezes.
-        for region in regions {
-            let bump = region.insertions;
-            for &w in &region.members {
-                let wi = w as usize;
-                self.touch(w); // record core₁ before the bump
-                let est = (self.core[wi] + bump).min(self.adj.degree(wi));
-                self.core[wi] = self.core[wi].max(est);
-            }
-        }
-        let jobs: Vec<(&[u32], &[u32])> = regions
-            .iter()
-            .map(|r| (r.members.as_slice(), r.members.as_slice()))
-            .collect();
-        let outcomes = descend_regions(&self.core, &self.adj, &jobs, self.threads);
-        self.merge_outcomes(outcomes);
-        true
-    }
-
-    /// Region-parallel removal descent. Returns `false` (without
-    /// mutating anything) when the phase should run sequentially — the
-    /// sequential removal phase needs no region analysis at all, so this
-    /// only pays for [`candidate_regions`] once threading is on.
-    fn parallel_removal_phase(&mut self, removals: &[(NodeId, NodeId)]) -> bool {
-        if self.threads < 2 || removals.len() < 2 {
-            return false;
-        }
-        let regions = {
-            let adj = &self.adj;
-            candidate_regions(self.core.len(), &[], removals, &self.core, |x| {
-                adj.neighbors(x as usize).iter().copied()
-            })
-        };
-        if regions.len() < 2 {
-            return false;
-        }
-        let total: usize = regions.iter().map(|r| r.members.len()).sum();
-        if total < PAR_MIN_NODES {
-            return false;
-        }
-        // Route each removal's endpoints to its region's seed list,
-        // preserving batch order within every region — the sequential
-        // enqueue order restricted to that region. Both endpoints of a
-        // removal always share a region (the edge seeds one group).
-        let endpoints: HashSet<u32> = removals.iter().flat_map(|&(u, v)| [u.0, v.0]).collect();
-        let mut region_of: HashMap<u32, usize> = HashMap::with_capacity(endpoints.len());
-        for (ri, r) in regions.iter().enumerate() {
-            for &m in &r.members {
-                if endpoints.contains(&m) {
-                    region_of.insert(m, ri);
-                }
-            }
-        }
-        let mut seeds: Vec<Vec<u32>> = vec![Vec::new(); regions.len()];
-        for &(u, v) in removals {
-            let ri = region_of[&u.0];
-            seeds[ri].push(u.0);
-            seeds[ri].push(v.0);
-        }
-        let jobs: Vec<(&[u32], &[u32])> = seeds
-            .iter()
-            .zip(&regions)
-            .map(|(s, r)| (s.as_slice(), r.members.as_slice()))
-            .collect();
-        let outcomes = descend_regions(&self.core, &self.adj, &jobs, self.threads);
-        self.merge_outcomes(outcomes);
-        true
-    }
-
-    /// Folds per-region worker outcomes back into the shared state, in
-    /// region order. `touched_mark` dedups nodes examined by several
-    /// workers (and keeps the main thread's core₁ record for bumped
-    /// members); coreness writes are unique per region by disjointness.
-    fn merge_outcomes(&mut self, outcomes: Vec<RegionOutcome>) {
-        for outcome in outcomes {
-            for (u, pre) in outcome.touched {
-                if self.touched_mark[u as usize] != self.batch {
-                    self.touched_mark[u as usize] = self.batch;
-                    self.touched.push((u, pre));
-                }
-            }
-            for (u, v) in outcome.changes {
-                self.core[u as usize] = v;
-            }
-        }
-    }
-}
-
-/// What one region worker hands back to the merge step.
-struct RegionOutcome {
-    /// `(node, shared estimate at first examination)` in examination
-    /// order — the worker-local slice of the batch delta. Workers never
-    /// write the shared estimates, so for every node this is the value
-    /// the sequential descent would have recorded at its first touch
-    /// (foreign bumped members are recorded at their bump, but the merge
-    /// drops those in favor of the main thread's core₁ record).
-    touched: Vec<(u32, u32)>,
-    /// `(member, new estimate)` for the region's own members whose value
-    /// moved, in member order. Foreign overlay entries are discarded —
-    /// by region disjointness their true value belongs to their own
-    /// region's worker.
-    changes: Vec<(u32, u32)>,
-}
-
-/// Runs [`region_descend`] for every `(seeds, members)` job, fanning the
-/// jobs over `min(threads, jobs)` scoped workers round-robin, and
-/// returns the outcomes in job order. Worker panics propagate.
-fn descend_regions(
-    core: &[u32],
-    adj: &AdjacencyArena,
-    jobs: &[(&[u32], &[u32])],
-    threads: usize,
-) -> Vec<RegionOutcome> {
-    let workers = threads.min(jobs.len());
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut ri = w;
-                    while ri < jobs.len() {
-                        let (seeds, members) = jobs[ri];
-                        out.push((ri, region_descend(core, adj, seeds, members)));
-                        ri += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<RegionOutcome>> = Vec::new();
-        slots.resize_with(jobs.len(), || None);
-        for h in handles {
-            for (ri, outcome) in h.join().expect("region descent worker panicked") {
-                slots[ri] = Some(outcome);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every region job descended"))
-            .collect()
-    })
-}
-
-/// One worker's descent of one candidate region, mirroring
-/// [`StreamCore::descend`]/[`StreamCore::drop_to`] against a private
-/// overlay: estimate reads fall through `est` to the shared `core`
-/// slice, writes stay in the overlay. See the [module
-/// docs](self#parallel-region-descent) for why the frozen foreign
-/// estimates leave the fixpoint bit-identical.
-fn region_descend(
-    core: &[u32],
-    adj: &AdjacencyArena,
-    seeds: &[u32],
-    members: &[u32],
-) -> RegionOutcome {
-    let read = |est: &HashMap<u32, u32>, y: u32| -> u32 {
-        est.get(&y).copied().unwrap_or(core[y as usize])
-    };
-    let mut est: HashMap<u32, u32> = HashMap::new();
-    let mut idx: HashMap<u32, IncrementalIndex> = HashMap::new();
-    let mut seen: HashSet<u32> = HashSet::new();
-    let mut touched: Vec<(u32, u32)> = Vec::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut events: VecDeque<(u32, u32, u32)> = VecDeque::new();
-
-    for &sd in seeds {
-        if seen.insert(sd) {
-            touched.push((sd, core[sd as usize]));
-            queue.push_back(sd);
-        }
-    }
-    while let Some(w) = queue.pop_front() {
-        let t = idx
-            .entry(w)
-            .or_insert_with(|| {
-                IncrementalIndex::from_estimates(
-                    adj.neighbors(w as usize).iter().map(|&y| read(&est, y)),
-                    read(&est, w),
-                )
-            })
-            .core();
-        if t >= read(&est, w) {
-            continue;
-        }
-        // Drop cascade; same invariant as `drop_to` — the event queue is
-        // empty whenever a histogram is built.
-        let old = read(&est, w);
-        est.insert(w, t);
-        events.push_back((w, old, t));
-        while let Some((sv, o, n)) = events.pop_front() {
-            for &y in adj.neighbors(sv as usize) {
-                if let Some(h) = idx.get_mut(&y) {
-                    if h.update(o, n) {
-                        let oy = read(&est, y);
-                        let ny = h.core();
-                        est.insert(y, ny);
-                        events.push_back((y, oy, ny));
-                    }
-                } else if seen.insert(y) {
-                    touched.push((y, core[y as usize]));
-                    queue.push_back(y);
-                }
-            }
-        }
-    }
-    let changes = members
-        .iter()
-        .filter_map(|&m| {
-            est.get(&m)
-                .copied()
-                .filter(|&v| v != core[m as usize])
-                .map(|v| (m, v))
-        })
-        .collect();
-    RegionOutcome { touched, changes }
 }
 
 /// One merged candidate region of [`candidate_regions`]: the nodes whose

@@ -165,14 +165,9 @@ pub use health::{ExchangeHealth, HealthReport, ShardHealth};
 pub use machine::{PublishAction, PublishModel, PublishScenario, PublishState};
 pub use service::{CoreService, PublishReport, ServiceHandle};
 pub use sharded::{
-    ExchangeMode, ShardedConfig, ShardedCoreService, ShardedHandle, ShardedPublishReport,
-    StitchedSnapshot,
+    ShardedConfig, ShardedCoreService, ShardedHandle, ShardedPublishReport, StitchedSnapshot,
 };
 pub use snapshot::CoreSnapshot;
-// Re-exporting the deprecated trait keeps pre-PR-7 imports compiling;
-// the deprecation warning still fires at the downstream use site.
-#[allow(deprecated)]
-pub use view::EpochView;
 #[doc(hidden)]
 pub use view::{kcore_members_scan, kcore_subgraph_scan, top_k_scan};
 pub use view::{CoreQuery, CoreScan, SnapshotSource};

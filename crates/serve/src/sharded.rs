@@ -48,8 +48,7 @@
 //!
 //! # Worker lifecycle and barrier protocol
 //!
-//! With [`ExchangeMode::Pooled`] (the default) the per-round drains of
-//! step 3 run on a **persistent worker pool**
+//! The per-round drains of step 3 run on a **persistent worker pool**
 //! ([`dkcore_runtime::WorkerPool`], the barrier primitive of the live
 //! runtime's coordinator): one long-lived thread per shard, created on
 //! the first multi-shard exchange round and kept for the life of the
@@ -62,21 +61,20 @@
 //! coordinator state: each round the coordinator *moves* every live
 //! [`Shard`] (plus its outgoing staging frames) into its worker and the
 //! worker moves both back with the drain finished — an ownership
-//! round trip per shard per round, replacing a `thread::spawn` + join
-//! per shard per round. A round is the same deliver/flush double
-//! barrier as `dkcore-runtime`: the coordinator first applies last
-//! round's staged frames (deliver), checks quiescence, then dispatches
-//! drains and collects replies in shard order (flush). Workers
-//! optionally pin themselves to cores ([`ShardedConfig::pin`], CLI
-//! `--pin-cores`) — strictly best-effort, degrading to unpinned where
-//! the platform refuses.
+//! round trip per shard per round, with no thread spawned per round.
+//! A round is the same deliver/flush double barrier as
+//! `dkcore-runtime`: the coordinator first applies last round's staged
+//! frames (deliver), checks quiescence, then dispatches drains and
+//! collects replies in shard order (flush). Workers optionally pin
+//! themselves to cores ([`ShardedConfig::pin`], CLI `--pin-cores`) —
+//! strictly best-effort, degrading to unpinned where the platform
+//! refuses.
 //!
-//! Failures compose with the pool exactly as with spawned threads. A
-//! drain panic is caught *inside* the worker (the shard value survives
-//! and returns to the coordinator), reported in the reply, and
-//! surfaces as a primary death at the round boundary: the attempt
-//! rolls back and promotion replaces the returned shard's state
-//! wholesale. The worker thread itself never dies with its primary —
+//! Failures compose with the pool. A drain panic is caught *inside* the
+//! worker (the shard value survives and returns to the coordinator),
+//! reported in the reply, and surfaces as a primary death at the round
+//! boundary: the attempt rolls back and promotion replaces the returned
+//! shard's state wholesale. The worker thread itself never dies with its primary —
 //! it simply keeps serving whatever shard value the coordinator sends
 //! next (the promoted replica's, after failover). Stalled shards are
 //! not dispatched at all (no job, no reply), and a shard killed by an
@@ -501,22 +499,6 @@ fn shard_slot(shard: &Shard, u: u32) -> usize {
         .expect("change log only names owned nodes")
 }
 
-/// How exchange-round drains are executed. Both modes share one staged
-/// message flow, so their reports (rounds, messages, resends) and the
-/// published epochs are bit-identical — asserted by
-/// `tests/pool_identity.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExchangeMode {
-    /// Persistent per-shard worker pool (the default): workers live
-    /// across rounds and batches, parking between dispatches. See the
-    /// [module docs](self).
-    #[default]
-    Pooled,
-    /// Spawn-per-round scoped threads — the pre-pool behavior, kept as
-    /// the baseline for `bench_pr8` and the bit-identity tests.
-    Spawn,
-}
-
 /// Configuration of the sharded service beyond the shard count:
 /// assignment policy, replication factor, and the fault machinery.
 #[derive(Debug, Clone)]
@@ -535,12 +517,9 @@ pub struct ShardedConfig {
     /// epoch by this many batches (default 1: every epoch; larger lags
     /// make promotion replay longer log suffixes).
     pub replica_lag: u64,
-    /// Drain execution strategy (default [`ExchangeMode::Pooled`]).
-    pub exchange: ExchangeMode,
     /// Best-effort: pin pool worker `i` to core `i % available_cores`
-    /// (see [`dkcore_runtime::pin_to_core`]). No effect with
-    /// [`ExchangeMode::Spawn`]; falls back gracefully where pinning is
-    /// unsupported (default false).
+    /// (see [`dkcore_runtime::pin_to_core`]); falls back gracefully
+    /// where pinning is unsupported (default false).
     pub pin: bool,
     /// Telemetry bundle the service records into (default: a fresh
     /// enabled bundle; pass a shared one to expose the service through
@@ -557,7 +536,6 @@ impl Default for ShardedConfig {
             fault_plan: FaultPlan::none(),
             heartbeat_timeout: 3,
             replica_lag: 1,
-            exchange: ExchangeMode::default(),
             pin: false,
             telemetry: Telemetry::default(),
         }
@@ -763,10 +741,9 @@ pub struct ShardedCoreService {
     replica_lag: u64,
     heartbeat_timeout: u32,
     health: Arc<HealthCell>,
-    exchange: ExchangeMode,
     pin: bool,
-    /// Persistent drain workers (`ExchangeMode::Pooled`, multi-shard
-    /// only), created on first use and kept for the service's life.
+    /// Persistent drain workers (multi-shard only), created on first
+    /// use and kept for the service's life.
     pool: Option<WorkerPool<DrainJob, DrainReply>>,
     /// Recycled border staging frames: `stage[src][dst]` holds the
     /// messages shard `src` staged for shard `dst` this round. The
@@ -954,7 +931,6 @@ impl ShardedCoreService {
             replica_lag: config.replica_lag.max(1),
             heartbeat_timeout: config.heartbeat_timeout,
             health: HealthCell::new(HealthReport::healthy(0, shard_count)),
-            exchange: config.exchange,
             pin: config.pin,
             pool: None,
             stage,
@@ -1484,7 +1460,7 @@ impl ShardedCoreService {
                 frame.clear();
             }
         }
-        if self.exchange == ExchangeMode::Pooled && shard_count > 1 {
+        if shard_count > 1 {
             self.ensure_pool();
         }
         let mut stall: Vec<u32> = vec![0; shard_count];
@@ -1580,94 +1556,47 @@ impl ShardedCoreService {
             let mut staged = 0u64;
             let mut dispatched = 0u64;
             let mut dead: Option<usize> = None;
-            match (shard_count, self.exchange) {
-                (1, _) => {
-                    // Single shard: nothing ever crosses a border;
-                    // drain inline on the coordinator.
-                    let map = &self.map;
-                    let shard = &mut self.shards[0];
-                    let stage = &mut self.stage[0];
-                    dispatched = 1;
-                    match catch_unwind(AssertUnwindSafe(|| shard.drain(map, 0, epoch, stage))) {
-                        Ok(n) => staged += n,
-                        Err(_) => dead = Some(0),
-                    }
+            if shard_count == 1 {
+                // Single shard: nothing ever crosses a border; drain
+                // inline on the coordinator.
+                let map = &self.map;
+                let shard = &mut self.shards[0];
+                let stage = &mut self.stage[0];
+                dispatched = 1;
+                match catch_unwind(AssertUnwindSafe(|| shard.drain(map, 0, epoch, stage))) {
+                    Ok(n) => staged += n,
+                    Err(_) => dead = Some(0),
                 }
-                (_, ExchangeMode::Pooled) => {
-                    // Ownership round trip: move each live shard (and
-                    // its frames) to its persistent worker, collect
-                    // them back in shard order.
-                    let pool = self.pool.as_ref().expect("pool created above");
-                    let mut sent: Vec<usize> = Vec::with_capacity(shard_count);
-                    for (s, _) in stalled.iter().enumerate().filter(|&(_, &st)| !st) {
-                        let shard = std::mem::replace(&mut self.shards[s], Shard::placeholder());
-                        let stage = std::mem::take(&mut self.stage[s]);
-                        pool.dispatch(
-                            s,
-                            DrainJob {
-                                shard,
-                                stage,
-                                epoch,
-                            },
-                        );
-                        sent.push(s);
-                    }
-                    for &s in &sent {
-                        let reply = pool.collect(s);
-                        self.shards[s] = reply.shard;
-                        self.stage[s] = reply.stage;
-                        dispatched += 1;
-                        staged += reply.staged;
-                        busy_nanos += reply.busy_nanos;
-                        // First panicking shard by index, reported only
-                        // after every shard is home again.
-                        if reply.panicked && dead.is_none() {
-                            dead = Some(s);
-                        }
-                    }
+            } else {
+                // Ownership round trip: move each live shard (and its
+                // frames) to its persistent worker, collect them back
+                // in shard order.
+                let pool = self.pool.as_ref().expect("pool created above");
+                let mut sent: Vec<usize> = Vec::with_capacity(shard_count);
+                for (s, _) in stalled.iter().enumerate().filter(|&(_, &st)| !st) {
+                    let shard = std::mem::replace(&mut self.shards[s], Shard::placeholder());
+                    let stage = std::mem::take(&mut self.stage[s]);
+                    pool.dispatch(
+                        s,
+                        DrainJob {
+                            shard,
+                            stage,
+                            epoch,
+                        },
+                    );
+                    sent.push(s);
                 }
-                (_, ExchangeMode::Spawn) => {
-                    // The spawn-per-round baseline, on the same staged
-                    // message flow as the pool.
-                    let map = &self.map;
-                    let joined: Vec<(usize, u64, u64, bool)> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = self
-                            .shards
-                            .iter_mut()
-                            .zip(self.stage.iter_mut())
-                            .enumerate()
-                            .filter(|(i, _)| !stalled[*i])
-                            .map(|(i, (shard, stage))| {
-                                let h = scope.spawn(move || {
-                                    let t = Instant::now();
-                                    let r = catch_unwind(AssertUnwindSafe(|| {
-                                        shard.drain(map, i as u32, epoch, stage)
-                                    }));
-                                    let busy = t.elapsed().as_nanos() as u64;
-                                    match r {
-                                        Ok(n) => (n, busy, false),
-                                        Err(_) => (0, busy, true),
-                                    }
-                                });
-                                (i, h)
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|(i, h)| {
-                                let (n, busy, panicked) =
-                                    h.join().expect("drain panic caught inside");
-                                (i, n, busy, panicked)
-                            })
-                            .collect()
-                    });
-                    for (i, n, busy, panicked) in joined {
-                        dispatched += 1;
-                        staged += n;
-                        busy_nanos += busy;
-                        if panicked && dead.is_none() {
-                            dead = Some(i);
-                        }
+                for &s in &sent {
+                    let reply = pool.collect(s);
+                    self.shards[s] = reply.shard;
+                    self.stage[s] = reply.stage;
+                    dispatched += 1;
+                    staged += reply.staged;
+                    busy_nanos += reply.busy_nanos;
+                    // First panicking shard by index, reported only after
+                    // every shard is home again.
+                    if reply.panicked && dead.is_none() {
+                        dead = Some(s);
                     }
                 }
             }

@@ -4,7 +4,7 @@
 //!
 //! # The v2 split: [`CoreQuery`] + [`CoreScan`]
 //!
-//! The original [`EpochView`] trait mixed O(1) point lookups with
+//! The original single query trait mixed O(1) point lookups with
 //! allocating `Vec`-returning bulk reads (`histogram()`, `kcore_members`,
 //! `top_k`), which forced the wire layer to materialize whole answers
 //! and hid the O(N) scans behind innocent-looking calls. v2 splits it:
@@ -15,11 +15,6 @@
 //!   (`members(k, offset, limit)`, `top(offset, limit)`,
 //!   `shell_sizes()`) plus the memoized [`kcore_subgraph_cached`]. On
 //!   indexed snapshots these emit in O(answer), flat in N.
-//!
-//! [`EpochView`] survives as a deprecated facade: a blanket impl gives
-//! it to every [`CoreScan`] type, so downstream code migrates without a
-//! flag day — old call sites keep compiling (with a deprecation
-//! warning), new code takes `CoreQuery`/`CoreScan` bounds.
 //!
 //! [`kcore_subgraph_cached`]: CoreScan::kcore_subgraph_cached
 
@@ -93,79 +88,6 @@ pub trait CoreScan: CoreQuery {
     /// First call per `k` extracts and caches in the snapshot; epochs
     /// are immutable, so the cache is invalidated for free at the flip.
     fn kcore_subgraph_cached(&self, k: u32) -> Arc<(Graph, Vec<NodeId>)>;
-}
-
-/// The original monolithic query trait, superseded by the
-/// [`CoreQuery`] + [`CoreScan`] split (see the [module docs](self)).
-/// A blanket impl derives it for every [`CoreScan`] type, so existing
-/// call sites keep working while they migrate.
-#[deprecated(
-    since = "0.7.0",
-    note = "take `CoreQuery` (point lookups) and/or `CoreScan` (paginated bulk reads) bounds instead"
-)]
-pub trait EpochView: Send + Sync {
-    /// The epoch this view was published as.
-    fn epoch(&self) -> u64;
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Number of edges.
-    fn edge_count(&self) -> usize;
-    /// The largest coreness.
-    fn max_coreness(&self) -> u32;
-    /// Coreness of `v`, or `None` when out of range.
-    fn coreness(&self, v: NodeId) -> Option<u32>;
-    /// Degree of `v`, or `None` when out of range.
-    fn degree(&self, v: NodeId) -> Option<u32>;
-    /// Sorted neighbors of `v` (global node ids), or `None` when out of
-    /// range.
-    fn neighbors(&self, v: NodeId) -> Option<&[u32]>;
-    /// Shell-size histogram (`max_coreness() + 1` entries).
-    fn histogram(&self) -> Vec<usize>;
-    /// Members of the k-core in ascending id order.
-    fn kcore_members(&self, k: u32) -> Vec<NodeId>;
-    /// Induced k-core subgraph plus the compact-id → original-id map.
-    fn kcore_subgraph(&self, k: u32) -> (Graph, Vec<NodeId>);
-    /// The `n` nodes of largest coreness (coreness desc, id asc).
-    fn top_k(&self, n: usize) -> Vec<(NodeId, u32)>;
-}
-
-// Implementing the deprecated trait is the whole point of the blanket
-// impl: every CoreScan type keeps satisfying pre-PR-7 EpochView bounds.
-#[allow(deprecated)]
-impl<T: CoreScan> EpochView for T {
-    fn epoch(&self) -> u64 {
-        CoreQuery::epoch(self)
-    }
-    fn node_count(&self) -> usize {
-        CoreQuery::node_count(self)
-    }
-    fn edge_count(&self) -> usize {
-        CoreQuery::edge_count(self)
-    }
-    fn max_coreness(&self) -> u32 {
-        CoreQuery::max_coreness(self)
-    }
-    fn coreness(&self, v: NodeId) -> Option<u32> {
-        CoreQuery::coreness(self, v)
-    }
-    fn degree(&self, v: NodeId) -> Option<u32> {
-        CoreQuery::degree(self, v)
-    }
-    fn neighbors(&self, v: NodeId) -> Option<&[u32]> {
-        CoreQuery::neighbors(self, v)
-    }
-    fn histogram(&self) -> Vec<usize> {
-        CoreScan::shell_sizes(self).collect()
-    }
-    fn kcore_members(&self, k: u32) -> Vec<NodeId> {
-        CoreScan::members(self, k, 0, usize::MAX).collect()
-    }
-    fn kcore_subgraph(&self, k: u32) -> (Graph, Vec<NodeId>) {
-        (*CoreScan::kcore_subgraph_cached(self, k)).clone()
-    }
-    fn top_k(&self, n: usize) -> Vec<(NodeId, u32)> {
-        CoreScan::top(self, 0, n).collect()
-    }
 }
 
 /// The O(N) scan over all node ids behind the pre-index `MEMBERS` path.

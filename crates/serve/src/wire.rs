@@ -41,6 +41,8 @@
 //! responses alone.
 //!
 //! Malformed input earns `ERR <reason>` and the connection stays open.
+//! That includes a request line over 64 KiB, which the server skips up to
+//! its newline unbuffered and answers `ERR line too long`.
 //!
 //! # Binary framed mode
 //!
@@ -150,6 +152,11 @@ const OP_EVENTS: u8 = 10;
 /// legitimate answer; a length past this is a corrupt or hostile stream
 /// and the connection is dropped rather than the allocation attempted.
 const MAX_FRAME: usize = 64 << 20;
+
+/// Upper bound on a text-mode request line, newline included. A longer
+/// line is skipped up to its newline and answered `ERR line too long`,
+/// so a client that never sends `\n` cannot grow a server buffer.
+const MAX_LINE: usize = 64 << 10;
 
 /// Point-in-time statistics for a server's `(epoch, query)` response
 /// cache, from [`WireServer::cache_stats`].
@@ -508,13 +515,21 @@ fn serve_connection<S: SnapshotSource>(
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
+        let mut too_long = false;
         loop {
-            match reader.read_line(&mut line) {
+            let room = (MAX_LINE + 1 - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
                 Ok(0) => return Ok(()), // EOF
-                Ok(_) => break,         // full line: always answer it
+                Ok(_) if line.len() > MAX_LINE && !line.ends_with(b"\n") => {
+                    // Over the cap: drop what arrived, keep skipping to
+                    // the newline, then answer ERR.
+                    too_long = true;
+                    line.clear();
+                }
+                Ok(_) => break, // full line (or EOF mid-line): answer it
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -529,7 +544,17 @@ fn serve_connection<S: SnapshotSource>(
                 Err(e) => return Err(e),
             }
         }
-        let request = line.trim();
+        if too_long {
+            writeln!(writer, "ERR line too long (max {MAX_LINE} bytes)")?;
+            writer.flush()?;
+            continue;
+        }
+        let Ok(request) = std::str::from_utf8(&line) else {
+            writeln!(writer, "ERR request is not UTF-8")?;
+            writer.flush()?;
+            continue;
+        };
+        let request = request.trim();
         if request.is_empty() {
             continue;
         }
@@ -1750,6 +1775,43 @@ mod tests {
         assert!(c.request("HELLO MORSE").unwrap().starts_with("ERR"));
         // Still serving after all those errors.
         assert!(c.request("EPOCH").unwrap().starts_with("OK epoch=1"));
+    }
+
+    #[test]
+    fn overlong_text_line_is_refused_and_the_connection_stays_usable() {
+        let (_svc, server) = service_on_cycle();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // Write from a second thread so a server that stopped reading
+        // cannot deadlock the test on a full socket buffer.
+        let mut w = stream;
+        let writer = std::thread::spawn(move || {
+            let chunk = vec![b'x'; 64 << 10];
+            for _ in 0..17 {
+                w.write_all(&chunk).unwrap(); // 1.06 MiB, no newline
+            }
+            w.write_all(b"\nEPOCH\n").unwrap();
+            w.flush().unwrap();
+            w
+        });
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ERR line too long"), "{reply:?}");
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(reply.trim(), "OK epoch=1 nodes=6 edges=6 kmax=2");
+        // A request that is not UTF-8 earns ERR too, without a drop.
+        let mut w = writer.join().unwrap();
+        w.write_all(b"\xff\xfe\nEPOCH\n").unwrap();
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("ERR"), "{reply:?}");
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("OK epoch=1"), "{reply:?}");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Bit-identity oracle for the persistent exchange pool: the same churn
-//! stream driven through a [`ExchangeMode::Pooled`] service and a
-//! [`ExchangeMode::Spawn`] (spawn-per-round, the pre-pool baseline)
+//! stream driven through an unpinned-pool service and a pinned-pool
 //! service must publish identical epochs, identical per-batch
 //! convergence counters (rounds / messages / changed), and identical
-//! stitched coreness — the pool is an execution strategy, never an
-//! algorithm change. A pinned pool must in turn be bit-identical to an
-//! unpinned one.
+//! stitched coreness — core pinning is a placement hint, never an
+//! algorithm change. Both must in turn match a fresh Batagelj–Zaveršnik
+//! decomposition of the final graph.
 //!
 //! The CI determinism matrix re-runs this suite with
 //! `DKCORE_TEST_SEED` shifting the churn streams and
@@ -17,7 +16,7 @@ use dkcore::seq::batagelj_zaversnik;
 use dkcore_data::{churn_stream, ChurnWorkload};
 use dkcore_graph::generators::{gnp, worst_case};
 use dkcore_graph::Graph;
-use dkcore_serve::{ExchangeMode, ShardedConfig, ShardedCoreService, ShardedPublishReport};
+use dkcore_serve::{ShardedConfig, ShardedCoreService, ShardedPublishReport};
 
 /// Shard counts under test: `DKCORE_TEST_SHARDS` pins one, default all.
 fn shard_counts() -> Vec<usize> {
@@ -49,10 +48,9 @@ fn counters(r: &ShardedPublishReport) -> (u64, u32, u64, usize, bool, u32, u64) 
     )
 }
 
-fn config(exchange: ExchangeMode, pin: bool) -> ShardedConfig {
+fn config(pin: bool) -> ShardedConfig {
     ShardedConfig {
         policy: AssignmentPolicy::Modulo,
-        exchange,
         pin,
         ..ShardedConfig::default()
     }
@@ -115,7 +113,7 @@ fn run_lockstep(
 }
 
 #[test]
-fn pooled_exchange_is_bit_identical_to_spawn_per_round() {
+fn pinned_pool_matches_unpinned_pool_on_mixed_gnp200() {
     let seed = 0xF001 + seed_offset();
     for shards in shard_counts() {
         let g = gnp(200, 0.04, seed + shards as u64);
@@ -123,10 +121,7 @@ fn pooled_exchange_is_bit_identical_to_spawn_per_round() {
             &format!("mixed/gnp200/s{shards}"),
             &g,
             shards,
-            &[
-                ("pooled", config(ExchangeMode::Pooled, false)),
-                ("spawn", config(ExchangeMode::Spawn, false)),
-            ],
+            &[("pooled", config(false)), ("pinned", config(true))],
             ChurnWorkload::Mixed { insert_pct: 55 },
             20,
             8,
@@ -136,7 +131,7 @@ fn pooled_exchange_is_bit_identical_to_spawn_per_round() {
 }
 
 #[test]
-fn pinned_pool_is_bit_identical_to_unpinned_pool_and_spawn() {
+fn pinned_pool_matches_unpinned_pool_on_mixed_gnp150() {
     let seed = 0x9188 + seed_offset();
     for shards in shard_counts() {
         let g = gnp(150, 0.05, seed + shards as u64);
@@ -144,11 +139,7 @@ fn pinned_pool_is_bit_identical_to_unpinned_pool_and_spawn() {
             &format!("pinned/gnp150/s{shards}"),
             &g,
             shards,
-            &[
-                ("pooled", config(ExchangeMode::Pooled, false)),
-                ("pinned", config(ExchangeMode::Pooled, true)),
-                ("spawn", config(ExchangeMode::Spawn, false)),
-            ],
+            &[("pooled", config(false)), ("pinned", config(true))],
             ChurnWorkload::Mixed { insert_pct: 50 },
             15,
             10,
@@ -158,7 +149,7 @@ fn pinned_pool_is_bit_identical_to_unpinned_pool_and_spawn() {
 }
 
 #[test]
-fn pooled_exchange_matches_spawn_under_adversarial_churn() {
+fn pinned_pool_matches_unpinned_pool_on_adversarial_worst56() {
     // §4.2 chain toggles cascade repairs across every shard boundary —
     // the maximum-round case where a pool scheduling bug (a stale
     // barrier, a worker reading a previous round's staging) would show
@@ -170,10 +161,7 @@ fn pooled_exchange_matches_spawn_under_adversarial_churn() {
             &format!("adversarial/worst56/s{shards}"),
             &g,
             shards,
-            &[
-                ("pooled", config(ExchangeMode::Pooled, false)),
-                ("spawn", config(ExchangeMode::Spawn, false)),
-            ],
+            &[("pooled", config(false)), ("pinned", config(true))],
             ChurnWorkload::Adversarial,
             12,
             5,

@@ -7,6 +7,7 @@
 //! and [`run_host_experiment`] reproduce exactly that loop, deriving one
 //! RNG seed per repetition from a base seed.
 
+use dkcore::one_to_many::EmulationMode;
 use dkcore_graph::Graph;
 use dkcore_metrics::Summary;
 
@@ -23,9 +24,10 @@ pub enum HostEngine {
     /// [`HostSim`] — both execution modes, observers, detectors.
     #[default]
     Legacy,
-    /// [`ActiveSetHostEngine`] — synchronous mode only; repetition
-    /// templates in `RandomOrder` mode fall back to [`HostSim`], which is
-    /// the only engine implementing that schedule.
+    /// [`ActiveSetHostEngine`] — synchronous mode with the Worklist
+    /// emulation only; any other template (`RandomOrder`, or the Sweep /
+    /// PerRound ablations) falls back to [`HostSim`], the only engine
+    /// implementing those schedules.
     ActiveSet,
 }
 
@@ -138,10 +140,11 @@ pub fn run_host_experiment(
 
 /// [`run_host_experiment`] with an explicit [`HostEngine`] choice.
 ///
-/// With [`HostEngine::ActiveSet`], synchronous repetitions run on the
-/// flat fast path (bit-identical results, multiple of the throughput —
-/// see `BENCH_PR2.json`); `RandomOrder` templates always use [`HostSim`],
-/// the only engine implementing that schedule.
+/// With [`HostEngine::ActiveSet`], synchronous Worklist repetitions run
+/// on the flat fast path (bit-identical results, multiple of the
+/// throughput — see `BENCH_PR2.json`); `RandomOrder` templates and the
+/// Sweep / PerRound emulation ablations always use [`HostSim`], the only
+/// engine implementing those schedules.
 pub fn run_host_experiment_on(
     g: &Graph,
     template: HostSimConfig,
@@ -162,13 +165,16 @@ pub fn run_host_experiment_on(
                 seed: repetition_seed(base_seed, rep),
             };
         }
-        if engine == HostEngine::ActiveSet && config.mode == SimMode::Synchronous {
+        if engine == HostEngine::ActiveSet
+            && config.mode == SimMode::Synchronous
+            && config.protocol.emulation == EmulationMode::Worklist
+        {
             let mut fast = ActiveSetHostEngine::new(
                 g,
                 ActiveSetHostConfig {
                     hosts: config.hosts,
                     assignment: config.assignment,
-                    protocol: config.protocol,
+                    policy: config.protocol.policy,
                     threads: 0,
                     max_rounds: config.max_rounds,
                 },
@@ -241,6 +247,19 @@ mod tests {
         let a = run_host_experiment_on(&g, template.clone(), 4, 9, HostEngine::ActiveSet);
         let b = run_host_experiment(&g, template, 4, 9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ablation_templates_fall_back_to_the_legacy_engine() {
+        let g = gnp(70, 0.08, 8);
+        for emulation in [EmulationMode::Sweep, EmulationMode::PerRound] {
+            let mut template = HostSimConfig::synchronous(6);
+            template.protocol.emulation = emulation;
+            let legacy = run_host_experiment_on(&g, template.clone(), 3, 1, HostEngine::Legacy);
+            let fast = run_host_experiment_on(&g, template, 3, 1, HostEngine::ActiveSet);
+            assert!(legacy.all_converged, "{emulation:?}");
+            assert_eq!(legacy, fast, "{emulation:?}");
+        }
     }
 
     #[test]

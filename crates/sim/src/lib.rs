@@ -34,7 +34,7 @@
 //! | [`NodeSim`] | one-to-one (Alg. 1) | sync + random-order | reference runs, observers, Table 1/2 + Figure 4 experiments |
 //! | [`ActiveSetEngine`] | one-to-one (Alg. 1) | sync only | large synchronous runs: flat CSR, active sets, sharded threads (`BENCH_PR1.json`) |
 //! | [`HostSim`] | one-to-many (Alg. 3–5) | sync + random-order | reference host runs, observers, Figure 5 experiments |
-//! | [`ActiveSetHostEngine`] | one-to-many (Alg. 3–5) | sync only | large multi-host synchronous runs: estimates arena, shard-staged `⟨S⟩` batches, host worklists (`BENCH_PR2.json`) |
+//! | [`ActiveSetHostEngine`] | one-to-many (Alg. 3–5) | sync, Worklist emulation only | large multi-host synchronous runs: estimates arena, shard-staged `⟨S⟩` batches, host worklists (`BENCH_PR2.json`); the Sweep/PerRound emulation ablations run on [`HostSim`] |
 //!
 //! Both fast engines produce results bit-identical to their reference
 //! engine (rounds, execution time, total and per-sender messages, final
@@ -87,7 +87,6 @@
 
 mod active_set;
 mod active_set_host;
-mod active_set_host_flat;
 mod async_engine;
 mod host_engine;
 mod node_engine;
